@@ -292,8 +292,9 @@ impl StructRootEntry {
 
 /// A point-in-time snapshot of every registered structure root plus the
 /// page-allocator high-water mark, staged into the commit batch that
-/// created it. Records are full snapshots (not deltas), so recovery only
-/// needs the newest committed one.
+/// created it. The store programs only its difference from the previous
+/// committed snapshot; recovery applies every committed record on top of
+/// the last checkpoint's snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StructRootsSnapshot {
     /// Page-allocator high-water mark at commit time: every pid
@@ -304,18 +305,19 @@ pub struct StructRootsSnapshot {
 }
 
 impl StructRootsSnapshot {
-    /// Exact byte length of the durable record encoding this snapshot
-    /// (header + entries + trailing checksum); see
-    /// `pdl::checkpoint::encode_root_record`.
+    /// Byte length of the durable record holding this whole snapshot
+    /// (header + entries + trailing checksum): an upper bound on the
+    /// record a commit stages for it, which carries only what changed;
+    /// see `pdl::checkpoint::RootDelta`.
     pub fn encoded_len(&self) -> usize {
-        // magic u32 + total_len u32 + version u16 + pad u16 + txn u64 +
+        // magic u32 + total_len u32 + version u16 + flags u16 + txn u64 +
         // next_pid u64 + count u32 = 32 bytes of header.
         let mut len = 32usize;
         for e in &self.entries {
-            // id u64 + kind u8 + pad [u8;3] + npids u32 + pids.
-            len += 16 + 8 * e.pids.len();
+            // id u64 + kind u8 + pad [u8;3] + keep u32 + npids u32 + pids.
+            len += 20 + 8 * e.pids.len();
         }
-        len + 8 // trailing fnv1a64 checksum
+        len + 4 + 8 // removed-id count u32 + trailing fnv1a64 checksum
     }
 }
 
@@ -572,8 +574,9 @@ pub trait PageStore: Send {
     /// an open commit batch (between the page stages and the commit
     /// record). The record becomes authoritative exactly when `txn`'s
     /// commit record does — a crash before it rolls both back together.
-    /// PDL with a configured checkpoint root region programs the record
-    /// into the region's live-half tail; everything else (and PDL without
+    /// PDL with a configured checkpoint root region programs the
+    /// snapshot's difference from the last committed one into the
+    /// region's live-half tail; everything else (and PDL without
     /// a root region) accepts and discards it, leaving roots
     /// memory-resident only.
     fn txn_stage_struct_roots(&mut self, roots: &StructRootsSnapshot, txn: u64) -> Result<()> {

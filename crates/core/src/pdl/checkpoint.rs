@@ -19,10 +19,11 @@
 //! Recovery ([`try_fast_recover`]) loads the newest committed checkpoint
 //! and then performs a **delta scan**: for each block it reads at most two
 //! spare areas (first and last-written page) and compares against the
-//! fingerprint. Unchanged blocks are skipped entirely; blocks that grew a
-//! tail are scanned from the old fill level; erased/rewritten blocks are
-//! purged from the tables and rescanned in full, replayed through the same
-//! Figure-11 logic as the full scan. For a fresh checkpoint this turns
+//! fingerprint, plus, for a block that was not full, the spare at its
+//! recorded fill level. Unchanged blocks are skipped entirely; blocks that
+//! grew a tail are scanned from the old fill level; erased/rewritten
+//! blocks are purged from the tables and rescanned in full, replayed
+//! through the same Figure-11 logic as the full scan. For a fresh checkpoint this turns
 //! recovery from one read per *page* into about one read per *block* — a
 //! ~`pages_per_block`x reduction.
 //!
@@ -33,6 +34,16 @@
 //! lives in blocks the fingerprints flag as changed, so the verdict only
 //! needs a mini-precheck over those blocks plus the checkpointed record
 //! set.
+//!
+//! The region also carries the DBMS's **structure roots** (B+-tree roots,
+//! heap page lists). Between checkpoints each durable commit that changed
+//! a structure programs a root record into the live half after the header
+//! page. Like the paper's differentials, the record holds only what changed
+//! against the committed roots ([`RootDelta`]), so a commit that grows one
+//! heap costs one small page, not a copy of every list. The next checkpoint
+//! folds the roots into its payload (codec v3). Recovery applies every
+//! committed record, in log order, on top of that baseline, so each one's
+//! commit record stays pinned until the checkpoint after it.
 
 use super::recovery::RecoveryTables;
 use super::{Pdl, PpmtEntry, NONE};
@@ -55,9 +66,12 @@ const MIN_VERSION: u16 = 2;
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8 + 4;
 
 /// Structure-root records programmed into the live half's tail (after
-/// the header page) between checkpoints; see [`encode_root_record`].
-const ROOT_MAGIC: u32 = 0x504C_5231; // "PLR1"
-const ROOT_VERSION: u16 = 1;
+/// the header page) between checkpoints; see [`RootDelta`].
+const ROOT_MAGIC: u32 = 0x504C_5232; // "PLR2"
+const ROOT_VERSION: u16 = 2;
+/// Record flag: clear every entry before applying the changes, so the
+/// record does not depend on the state it is applied to.
+const ROOT_FLAG_RESET: u16 = 1;
 
 /// 64-bit FNV-1a over a byte slice (block fingerprints, payload checksum).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -130,7 +144,7 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.bytes.len() {
+        if self.at.checked_add(n).is_none_or(|end| end > self.bytes.len()) {
             return Err(CoreError::Corruption("checkpoint stream truncated".into()));
         }
         let s = &self.bytes[self.at..self.at + n];
@@ -148,9 +162,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Serialise a structure-root snapshot (shared by the v3 payload section
-/// and the tail records): next_pid u64, count u32, then per entry
-/// id u64, kind u8, pad [u8;3], npids u32, pids u64...
+/// Serialise a structure-root snapshot (the v3 payload section, the
+/// baseline the tail records apply to): next_pid u64, count u32, then
+/// per entry id u64, kind u8, pad [u8;3], npids u32, pids u64...
 fn push_roots(s: &mut Stream, roots: &StructRootsSnapshot) {
     s.push_u64(roots.next_pid);
     s.push_u32(roots.entries.len() as u32);
@@ -185,32 +199,193 @@ fn parse_roots(c: &mut Cursor) -> Result<StructRootsSnapshot> {
     Ok(StructRootsSnapshot { next_pid, entries })
 }
 
-/// Encode one durable structure-root record, staged into `txn`'s commit
-/// batch and programmed into the live half's tail. The record is a full
-/// snapshot (not a delta) guarded by a trailing FNV-1a checksum, so the
-/// tail scan only needs the newest committed one and a torn trailer is
-/// detected and skipped. The length matches
-/// [`StructRootsSnapshot::encoded_len`].
-pub(crate) fn encode_root_record(roots: &StructRootsSnapshot, txn: u64) -> Vec<u8> {
-    let total = roots.encoded_len();
-    let mut s = Stream(Vec::with_capacity(total));
-    s.push_u32(ROOT_MAGIC);
-    s.push_u32(total as u32);
-    s.push_u16(ROOT_VERSION);
-    s.push_u16(0);
-    s.push_u64(txn);
-    push_roots(&mut s, roots);
-    let csum = fnv1a64(&s.0);
-    s.push_u64(csum);
-    debug_assert_eq!(s.0.len(), total, "root record length must match encoded_len");
-    s.0
+/// One structure's change in a root record: keep the first `keep` pids
+/// of its committed list, then append `tail`. A structure the committed
+/// state does not hold (or holds with another kind) carries `keep = 0`
+/// and its whole list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RootChange {
+    id: u64,
+    kind: u8,
+    keep: u32,
+    tail: Vec<u64>,
 }
 
-/// Decode a root record previously written by [`encode_root_record`].
+/// A durable structure-root record, staged into its transaction's commit
+/// batch and programmed into the live half's tail. It is the
+/// page-differential of the registered roots: only what changed against
+/// the committed snapshot it was staged on — the allocation frontier,
+/// each changed structure as a kept prefix plus a new tail, and the ids
+/// of removed structures. A commit that appends one heap page therefore
+/// programs a few dozen bytes, not every structure's full page list. A
+/// *reset* record clears every entry first and lists each structure with
+/// `keep = 0`: a full snapshot in the same format.
+///
+/// Layout (little-endian): magic u32, total length u32, version u16,
+/// flags u16, txn u64, next_pid u64, change count u32, then per change
+/// id u64, kind u8, pad [u8; 3], keep u32, tail count u32, tail pids
+/// u64...; removed count u32, removed ids u64...; and a trailing FNV-1a
+/// checksum u64 over everything before it, so a torn trailer is detected
+/// and skipped.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RootDelta {
+    reset: bool,
+    next_pid: u64,
+    changed: Vec<RootChange>,
+    removed: Vec<u64>,
+}
+
+/// Bytes of a root record before its first change.
+const ROOT_HEADER_LEN: usize = 32;
+
+impl RootDelta {
+    /// The record turning the committed snapshot `old` (ascending ids, as
+    /// [`RootDelta::apply`] leaves it) into `new`. A reset record is
+    /// written when `reset` asks for one or when the delta would be the
+    /// larger of the two, so no record exceeds `new.encoded_len()`: the
+    /// bound callers check root-log space against.
+    pub(crate) fn between(
+        old: &StructRootsSnapshot,
+        new: &StructRootsSnapshot,
+        reset: bool,
+    ) -> RootDelta {
+        let full = || RootDelta {
+            reset: true,
+            next_pid: new.next_pid,
+            changed: new
+                .entries
+                .iter()
+                .map(|e| RootChange { id: e.id, kind: e.kind, keep: 0, tail: e.pids.clone() })
+                .collect(),
+            removed: Vec::new(),
+        };
+        if reset {
+            return full();
+        }
+        let mut changed = Vec::new();
+        for e in &new.entries {
+            let keep = match old.entries.binary_search_by_key(&e.id, |o| o.id) {
+                Ok(at) if old.entries[at].kind == e.kind => {
+                    let was = &old.entries[at].pids;
+                    let keep = was.iter().zip(&e.pids).take_while(|(a, b)| a == b).count();
+                    if keep == was.len() && keep == e.pids.len() {
+                        continue; // unchanged
+                    }
+                    keep
+                }
+                _ => 0,
+            };
+            let tail = e.pids[keep..].to_vec();
+            changed.push(RootChange { id: e.id, kind: e.kind, keep: keep as u32, tail });
+        }
+        let mut new_ids: Vec<u64> = new.entries.iter().map(|e| e.id).collect();
+        new_ids.sort_unstable();
+        let removed = old
+            .entries
+            .iter()
+            .map(|o| o.id)
+            .filter(|id| new_ids.binary_search(id).is_err())
+            .collect();
+        let delta = RootDelta { reset: false, next_pid: new.next_pid, changed, removed };
+        if delta.encoded_len() > new.encoded_len() {
+            full()
+        } else {
+            delta
+        }
+    }
+
+    /// Exact byte length of [`RootDelta::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        let changes: usize = self.changed.iter().map(|c| 20 + 8 * c.tail.len()).sum();
+        ROOT_HEADER_LEN + changes + 4 + 8 * self.removed.len() + 8
+    }
+
+    /// Serialise the record on behalf of `txn`.
+    pub(crate) fn encode(&self, txn: u64) -> Vec<u8> {
+        let total = self.encoded_len();
+        let mut s = Stream(Vec::with_capacity(total));
+        s.push_u32(ROOT_MAGIC);
+        s.push_u32(total as u32);
+        s.push_u16(ROOT_VERSION);
+        s.push_u16(if self.reset { ROOT_FLAG_RESET } else { 0 });
+        s.push_u64(txn);
+        s.push_u64(self.next_pid);
+        s.push_u32(self.changed.len() as u32);
+        for c in &self.changed {
+            s.push_u64(c.id);
+            s.push_u8(c.kind);
+            s.push_u8(0);
+            s.push_u8(0);
+            s.push_u8(0);
+            s.push_u32(c.keep);
+            s.push_u32(c.tail.len() as u32);
+            for p in &c.tail {
+                s.push_u64(*p);
+            }
+        }
+        s.push_u32(self.removed.len() as u32);
+        for id in &self.removed {
+            s.push_u64(*id);
+        }
+        let csum = fnv1a64(&s.0);
+        s.push_u64(csum);
+        debug_assert_eq!(s.0.len(), total, "root record length must match encoded_len");
+        s.0
+    }
+
+    /// Apply the record to `roots`, keeping entries in ascending id order.
+    /// A record that does not fit the state it is applied to — a kept
+    /// prefix longer than the list, a kept prefix or removal of an
+    /// unknown structure — is corruption.
+    pub(crate) fn apply(&self, roots: &mut StructRootsSnapshot) -> Result<()> {
+        let mismatch = |what: String| {
+            Err(CoreError::Corruption(format!("structure-root record does not apply: {what}")))
+        };
+        if self.reset {
+            roots.entries.clear();
+        }
+        roots.next_pid = self.next_pid;
+        for c in &self.changed {
+            let keep = c.keep as usize;
+            match roots.entries.binary_search_by_key(&c.id, |e| e.id) {
+                Ok(at) => {
+                    let e = &mut roots.entries[at];
+                    if keep > e.pids.len() {
+                        return mismatch(format!(
+                            "keeps {keep} pids of structure {} holding {}",
+                            c.id,
+                            e.pids.len()
+                        ));
+                    }
+                    e.kind = c.kind;
+                    e.pids.truncate(keep);
+                    e.pids.extend_from_slice(&c.tail);
+                }
+                Err(at) if keep == 0 => roots
+                    .entries
+                    .insert(at, StructRootEntry { id: c.id, kind: c.kind, pids: c.tail.clone() }),
+                Err(_) => {
+                    return mismatch(format!("keeps {keep} pids of unknown structure {}", c.id))
+                }
+            }
+        }
+        for id in &self.removed {
+            match roots.entries.binary_search_by_key(id, |e| e.id) {
+                Ok(at) => {
+                    roots.entries.remove(at);
+                }
+                Err(_) => return mismatch(format!("removes unknown structure {id}")),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decode a root record previously written by [`RootDelta::encode`].
 /// `bytes` must cover the whole record; returns `None` for anything torn
-/// or foreign (bad magic / version / checksum).
-fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
-    if bytes.len() < 32 + 8 {
+/// or foreign (bad magic / version / flags / checksum / length).
+fn decode_root_record(bytes: &[u8]) -> Option<(u64, RootDelta)> {
+    if bytes.len() < ROOT_HEADER_LEN + 4 + 8 {
         return None;
     }
     let body = &bytes[..bytes.len() - 8];
@@ -219,22 +394,55 @@ fn decode_root_record(bytes: &[u8]) -> Option<(u64, StructRootsSnapshot)> {
         return None;
     }
     let mut c = Cursor { bytes: body, at: 0 };
-    if c.u32().ok()? != ROOT_MAGIC || c.u32().ok()? as usize != bytes.len() {
+    if c.u32().ok()? != ROOT_MAGIC
+        || c.u32().ok()? as usize != bytes.len()
+        || c.u16().ok()? != ROOT_VERSION
+    {
         return None;
     }
-    if c.u16().ok()? != ROOT_VERSION {
+    let flags = c.u16().ok()?;
+    if flags & !ROOT_FLAG_RESET != 0 {
         return None;
     }
-    let _pad = c.u16().ok()?;
     let txn = c.u64().ok()?;
-    let roots = parse_roots(&mut c).ok()?;
-    Some((txn, roots))
+    let next_pid = c.u64().ok()?;
+    let n = c.u32().ok()? as usize;
+    let mut changed = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let id = c.u64().ok()?;
+        let kind = c.u8().ok()?;
+        c.skip(3).ok()?;
+        let keep = c.u32().ok()?;
+        let ntail = c.u32().ok()? as usize;
+        let mut tail = Vec::with_capacity(ntail.min(4096));
+        for _ in 0..ntail {
+            tail.push(c.u64().ok()?);
+        }
+        changed.push(RootChange { id, kind, keep, tail });
+    }
+    let nr = c.u32().ok()? as usize;
+    let mut removed = Vec::with_capacity(nr.min(1024));
+    for _ in 0..nr {
+        removed.push(c.u64().ok()?);
+    }
+    if c.at != body.len() {
+        return None;
+    }
+    Some((txn, RootDelta { reset: flags == ROOT_FLAG_RESET, next_pid, changed, removed }))
+}
+
+/// The committed checkpoint recovery loaded: its header (which positions
+/// the root log's tail) and the structure-root baseline its payload
+/// carries. The fast path hands it to [`load_root_state`], so recovery
+/// reads the checkpoint once.
+pub(crate) struct LoadedCheckpoint {
+    header: Header,
+    roots: StructRootsSnapshot,
 }
 
 /// The structure-root log state resolved at recovery: the authoritative
-/// snapshot, where the live-half tail resumes, and which transaction's
-/// record is currently authoritative (so its commit record stays
-/// retained until the next checkpoint compacts the log).
+/// snapshot, where the live-half tail resumes, and which transactions'
+/// records it was rebuilt from.
 pub(crate) struct RootLogState {
     pub seq: u64,
     pub live_half: Option<u8>,
@@ -247,40 +455,48 @@ pub(crate) struct RootLogState {
     /// so the first checkpoint must target half 1.
     pub tail_used: bool,
     pub roots: StructRootsSnapshot,
-    /// The transaction whose tail record is authoritative (`None` when
-    /// the roots come from the checkpoint payload baseline).
-    pub live_txn: Option<u64>,
+    /// Transactions of the committed tail records, in log order. Every
+    /// one is needed to rebuild the roots, so each commit record stays
+    /// pinned until the next checkpoint compacts the log.
+    pub live_txns: Vec<u64>,
 }
 
 /// Resolve the durable structure roots and tail position from the
-/// checkpoint root region: baseline from the newest committed checkpoint
-/// payload (empty for v2), overridden by the newest *committed* tail
-/// record. `is_committed` decides record eligibility from the recovery
-/// tables (commit record present, not torn). Read-only, so running it
-/// twice — a second recovery — resolves identically.
+/// checkpoint root region: the baseline from the checkpoint the fast path
+/// loaded, then every *committed* tail record applied in log order.
+/// Without a loaded checkpoint (none committed yet, or one the fast path
+/// could not use) the newest header still positions the tail and the
+/// baseline is empty. `is_committed` decides record eligibility from the
+/// recovery tables (commit record present, not torn). Read-only, so
+/// running it twice — a second recovery — resolves identically.
 pub(crate) fn load_root_state(
     chip: &mut FlashChip,
     opts: &StoreOptions,
+    checkpoint: Option<LoadedCheckpoint>,
     is_committed: &dyn Fn(u64) -> bool,
 ) -> Result<RootLogState> {
     let g = chip.geometry();
     let half_blocks = opts.checkpoint_blocks / 2;
-    let header = find_latest_header(chip, opts)?;
+    let checkpoint = match checkpoint {
+        Some(c) => Some(c),
+        None => find_latest_header(chip, opts)?
+            .map(|header| LoadedCheckpoint { header, roots: StructRootsSnapshot::default() }),
+    };
 
-    let (seq, live_half, start, tail_end, mut roots) = match &header {
-        Some(h) => {
+    let (seq, live_half, start, tail_end, mut roots) = match checkpoint {
+        Some(LoadedCheckpoint { header: h, roots }) => {
             let half = if h.base_ppn / g.pages_per_block < half_blocks { 0u8 } else { 1 };
             let end = (half as u32 + 1) * half_blocks * g.pages_per_block;
-            let baseline = load_payload_roots(chip, opts, h)?.unwrap_or_default();
-            (h.seq, Some(half), h.base_ppn + h.payload_pages + 1, end, baseline)
+            (h.seq, Some(half), h.base_ppn + h.payload_pages + 1, end, roots)
         }
         None => (0, None, 0, half_blocks * g.pages_per_block, StructRootsSnapshot::default()),
     };
 
-    // Scan the tail: records fill sequentially, so the newest committed
-    // one wins and the first free page (or torn trailer) ends the log.
+    // Scan the tail: records fill sequentially, each committed one
+    // applies on top of its predecessors, and the first free page (or
+    // torn trailer) ends the log.
     let mut at = start;
-    let mut live_txn = None;
+    let mut live_txns = Vec::new();
     let mut img = vec![0u8; g.data_size];
     while at < tail_end {
         match chip.read_spare(Ppn(at))? {
@@ -288,7 +504,7 @@ pub(crate) fn load_root_state(
             _ => break,
         }
         let rec = read_root_record(chip, at, tail_end, &mut img)?;
-        let Some((npages, txn, snap)) = rec else {
+        let Some((npages, txn, delta)) = rec else {
             // Torn trailer: probe past the programmed garbage so new
             // records never land on half-written pages.
             while at < tail_end {
@@ -300,8 +516,8 @@ pub(crate) fn load_root_state(
             break;
         };
         if is_committed(txn) {
-            roots = snap;
-            live_txn = Some(txn);
+            delta.apply(&mut roots)?;
+            live_txns.push(txn);
         }
         at += npages;
     }
@@ -313,7 +529,7 @@ pub(crate) fn load_root_state(
         tail_end,
         tail_used: live_half.is_none() && at > start,
         roots,
-        live_txn,
+        live_txns,
     })
 }
 
@@ -325,14 +541,17 @@ fn read_root_record(
     at: u32,
     end: u32,
     img: &mut [u8],
-) -> Result<Option<(u32, u64, StructRootsSnapshot)>> {
+) -> Result<Option<(u32, u64, RootDelta)>> {
     let data_size = img.len();
     if chip.read_data(Ppn(at), img).is_err() {
         return Ok(None); // rotten first page: torn record
     }
     let magic = u32::from_le_bytes(img[0..4].try_into().unwrap());
     let total = u32::from_le_bytes(img[4..8].try_into().unwrap()) as usize;
-    if magic != ROOT_MAGIC || total < 40 || total > (end - at) as usize * data_size {
+    if magic != ROOT_MAGIC
+        || total < ROOT_HEADER_LEN + 4 + 8
+        || total > (end - at) as usize * data_size
+    {
         return Ok(None);
     }
     let npages = total.div_ceil(data_size) as u32;
@@ -345,55 +564,7 @@ fn read_root_record(
         bytes.extend_from_slice(img);
     }
     bytes.truncate(total);
-    Ok(decode_root_record(&bytes).map(|(txn, snap)| (npages, txn, snap)))
-}
-
-/// Parse just the roots section out of a committed checkpoint payload
-/// (`None` for v2 payloads or when the payload fails verification —
-/// callers fall back to an empty baseline).
-fn load_payload_roots(
-    chip: &mut FlashChip,
-    opts: &StoreOptions,
-    header: &Header,
-) -> Result<Option<StructRootsSnapshot>> {
-    let g = chip.geometry();
-    let mut payload = Vec::with_capacity(header.payload_len as usize);
-    let mut img = vec![0u8; g.data_size];
-    for i in 0..header.payload_pages {
-        if chip.read_data(Ppn(header.base_ppn + i), &mut img).is_err() {
-            return Ok(None);
-        }
-        payload.extend_from_slice(&img);
-    }
-    payload.truncate(header.payload_len as usize);
-    if payload.len() != header.payload_len as usize || (fnv1a64(&payload) as u32) != header.csum {
-        return Ok(None);
-    }
-    let nl = opts.num_logical_pages as usize;
-    let k = opts.frames_per_page as usize;
-    let mut c = Cursor { bytes: &payload, at: 0 };
-    if c.u32()? != PAYLOAD_MAGIC {
-        return Ok(None);
-    }
-    let version = c.u16()?;
-    if version < 3 {
-        return Ok(None); // v2: no roots section
-    }
-    // Skip the mapping-table sections (fixed arithmetic given the dims).
-    c.skip(2 + 8 + 4 + 4)?; // k, nl, blocks, pages (already validated by the loader)
-    let blocks = g.num_blocks as usize;
-    c.skip(nl * (k + 1) * 4)?; // ppmt
-    c.skip(nl * k * 8)?; // frame_ts
-    c.skip(nl * 8)?; // diff_ts
-    c.skip(g.num_pages() as usize * 2)?; // vdct
-    c.skip(blocks * 4)?; // written
-    c.skip(blocks * 4)?; // obsolete
-    c.skip(nl * 8)?; // diff_txn
-    c.skip(nl * k * 8)?; // base_txn
-    let n_locs = c.u32()? as usize;
-    c.skip(n_locs * 12)?;
-    c.skip(blocks * 8)?; // fingerprints
-    Ok(Some(parse_roots(&mut c)?))
+    Ok(decode_root_record(&bytes).map(|(txn, delta)| (npages, txn, delta)))
 }
 
 impl Pdl {
@@ -549,15 +720,14 @@ impl Pdl {
         self.ckpt_seq = seq;
         self.ckpt_live_half = Some(target_half);
         // The structure-root log restarts after the new header; the tail
-        // record retaining the previous root-publishing transaction is
-        // superseded by the payload baseline, so its commit-record pin
-        // can drop. (Decremented only now that the header is durable: a
-        // crash anywhere above leaves the old half — and that pin —
-        // authoritative.)
+        // records are folded into the payload baseline, so the pins on
+        // their transactions' commit records can drop. (Released only now
+        // that the header is durable: a crash anywhere above leaves the
+        // old half — and every record it needs — authoritative.)
         self.root_tail = base_ppn + payload_pages + 1;
         self.root_tail_end = (target_half as u32 + 1) * half_blocks * g.pages_per_block;
         self.root_tail_used = false;
-        if let Some(t) = self.live_root_txn.take() {
+        for t in std::mem::take(&mut self.live_root_txns) {
             self.presence_dec(t, None)?;
         }
         self.counters.checkpoints += 1;
@@ -771,8 +941,11 @@ fn load_checkpoint_delta(
     let mut c = Cursor { bytes: &payload, at: 0 };
     // v2 payloads simply end after the fingerprints (no roots section);
     // the cursor never reads past what each version wrote.
-    if c.u32()? != PAYLOAD_MAGIC
-        || !(MIN_VERSION..=VERSION).contains(&c.u16()?)
+    if c.u32()? != PAYLOAD_MAGIC {
+        return Ok(None);
+    }
+    let version = c.u16()?;
+    if !(MIN_VERSION..=VERSION).contains(&version)
         || c.u16()? as usize != k
         || c.u64()? as usize != nl
         || c.u32()? != g.num_blocks
@@ -821,6 +994,8 @@ fn load_checkpoint_delta(
         *fp = c.u64()?;
     }
     tables.max_ts = header.watermark;
+    let roots = if version >= 3 { parse_roots(&mut c)? } else { StructRootsSnapshot::default() };
+    tables.checkpoint = Some(LoadedCheckpoint { header, roots });
 
     // Delta scan: classify each block.
     let r = opts.checkpoint_blocks;
@@ -832,8 +1007,14 @@ fn load_checkpoint_delta(
         if fp_now != fingerprints[b as usize] {
             invalidated.push(b);
         } else if ckpt_written < g.pages_per_block {
-            // Same generation: only a grown tail can differ.
-            tail_scan.push((b, ckpt_written));
+            // Same generation: only a grown tail can differ. One spare
+            // read at the recorded fill level rules out the blocks that
+            // grew nothing (free ones included), so neither sweep below
+            // reads them again; an undecodable spare is still scanned.
+            let next = chip.read_spare(g.page_at(BlockId(b), ckpt_written))?;
+            if next.is_none_or(|i| i.kind != PageKind::Free) {
+                tail_scan.push((b, ckpt_written));
+            }
         }
     }
 
@@ -926,4 +1107,166 @@ fn derive_torn_from_delta(
         sweep(chip, &mut verdict, *b, *from)?;
     }
     Ok(verdict.resolve().torn())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Snapshots over a small id space (so changes, adds and removes all
+    /// occur), kept in the ascending-id form the store commits.
+    fn snapshot() -> impl Strategy<Value = StructRootsSnapshot> {
+        let entry = (0u64..8, 0u8..2, proptest::collection::vec(0u64..64, 0..12));
+        (any::<u64>(), proptest::collection::vec(entry, 0..6)).prop_map(|(next_pid, es)| {
+            let mut entries: Vec<StructRootEntry> =
+                es.into_iter().map(|(id, kind, pids)| StructRootEntry { id, kind, pids }).collect();
+            entries.sort_by_key(|e| e.id);
+            entries.dedup_by_key(|e| e.id);
+            StructRootsSnapshot { next_pid, entries }
+        })
+    }
+
+    /// `new` with a pid list extended, truncated or edited, the way heap
+    /// growth and B+-tree root changes move a committed snapshot.
+    fn successor() -> impl Strategy<Value = (StructRootsSnapshot, StructRootsSnapshot)> {
+        (snapshot(), 0usize..8, 0usize..4, proptest::collection::vec(0u64..64, 0..4)).prop_map(
+            |(old, pick, cut, extra)| {
+                let mut new = old.clone();
+                if let Some(e) = new.entries.get_mut(pick) {
+                    let keep = e.pids.len().saturating_sub(cut);
+                    e.pids.truncate(keep);
+                    e.pids.extend(extra);
+                }
+                new.next_pid = new.next_pid.wrapping_add(1);
+                (old, new)
+            },
+        )
+    }
+
+    /// A record with a valid checksum around arbitrary body bytes, so the
+    /// field parser itself is exercised.
+    fn checksummed(flags: u16, body: &[u8]) -> Vec<u8> {
+        let total = 12 + body.len() + 8;
+        let mut s = Stream(Vec::with_capacity(total));
+        s.push_u32(ROOT_MAGIC);
+        s.push_u32(total as u32);
+        s.push_u16(ROOT_VERSION);
+        s.push_u16(flags);
+        s.0.extend_from_slice(body);
+        let csum = fnv1a64(&s.0);
+        s.push_u64(csum);
+        s.0
+    }
+
+    /// Decode, then apply whatever decodes: must return, never panic.
+    fn decode_and_apply(bytes: &[u8], base: &StructRootsSnapshot) {
+        if let Some((_, delta)) = decode_root_record(bytes) {
+            let _ = delta.apply(&mut base.clone());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn delta_round_trips_and_rebuilds_the_new_snapshot(
+            old in snapshot(),
+            new in snapshot(),
+            txn in any::<u64>(),
+        ) {
+            for reset in [false, true] {
+                let delta = RootDelta::between(&old, &new, reset);
+                let bytes = delta.encode(txn);
+                prop_assert!(bytes.len() <= new.encoded_len(), "record exceeds the full snapshot");
+                prop_assert_eq!(decode_root_record(&bytes), Some((txn, delta.clone())));
+                let mut rebuilt = old.clone();
+                delta.apply(&mut rebuilt).unwrap();
+                prop_assert_eq!(&rebuilt, &new);
+            }
+        }
+
+        #[test]
+        fn small_changes_write_small_records(pair in successor()) {
+            let (old, new) = pair;
+            let delta = RootDelta::between(&old, &new, false);
+            prop_assert!(!delta.reset);
+            prop_assert!(delta.changed.len() <= 1 && delta.removed.is_empty());
+            let mut rebuilt = old.clone();
+            delta.apply(&mut rebuilt).unwrap();
+            prop_assert_eq!(rebuilt, new);
+        }
+
+        #[test]
+        fn reset_record_applies_to_any_state(
+            stale in snapshot(),
+            new in snapshot(),
+        ) {
+            let mut rebuilt = stale.clone();
+            RootDelta::between(&stale, &new, true).apply(&mut rebuilt).unwrap();
+            prop_assert_eq!(rebuilt, new);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            base in snapshot(),
+        ) {
+            decode_and_apply(&bytes, &base);
+        }
+
+        #[test]
+        fn checksummed_garbage_never_panics(
+            flags in 0u16..3,
+            body in proptest::collection::vec(any::<u8>(), 0..160),
+            base in snapshot(),
+        ) {
+            decode_and_apply(&checksummed(flags, &body), &base);
+        }
+
+        #[test]
+        fn truncated_or_flipped_records_are_rejected(
+            pair in successor(),
+            cut in any::<u32>(),
+            bit in any::<u32>(),
+        ) {
+            let (old, new) = pair;
+            let bytes = RootDelta::between(&old, &new, false).encode(7);
+            let short = &bytes[..cut as usize % bytes.len()];
+            prop_assert_eq!(decode_root_record(short), None);
+            let mut flipped = bytes.clone();
+            let at = bit as usize % (flipped.len() * 8);
+            flipped[at / 8] ^= 1 << (at % 8);
+            prop_assert_eq!(decode_root_record(&flipped), None);
+            decode_and_apply(&flipped, &old);
+        }
+    }
+
+    #[test]
+    fn mismatched_records_are_corruption() {
+        let heap = |pids: Vec<u64>| StructRootsSnapshot {
+            next_pid: 9,
+            entries: vec![StructRootEntry { id: 3, kind: StructRootEntry::KIND_HEAP, pids }],
+        };
+        // Keeps three pids of a two-pid list.
+        let long = RootDelta::between(&heap(vec![1, 2, 3]), &heap(vec![1, 2, 3, 4]), false);
+        assert!(matches!(long.apply(&mut heap(vec![1, 2])), Err(CoreError::Corruption(_))));
+        // Keeps a prefix of (and removes) a structure the state lacks.
+        assert!(matches!(
+            long.apply(&mut StructRootsSnapshot::default()),
+            Err(CoreError::Corruption(_))
+        ));
+        // Removes a structure the state lacks.
+        let mut two = heap(vec![1]);
+        two.entries.push(StructRootEntry {
+            id: 5,
+            kind: StructRootEntry::KIND_BTREE,
+            pids: vec![2],
+        });
+        let mut one = two.clone();
+        one.entries.remove(0);
+        let gone = RootDelta::between(&two, &one, false);
+        assert_eq!(gone.removed, vec![3]);
+        assert!(matches!(gone.apply(&mut one.clone()), Err(CoreError::Corruption(_))));
+    }
 }

@@ -154,16 +154,18 @@ pub struct Pdl {
     ckpt_live_half: Option<u8>,
     // --- durable structure roots (checkpoint root-region tail log) ----
     /// Newest *committed* structure-root snapshot (what
-    /// `PageStore::struct_roots` reports and the next checkpoint
-    /// compacts into its payload baseline).
+    /// `PageStore::struct_roots` reports, what the next root record is
+    /// diffed against, and what the next checkpoint compacts into its
+    /// payload baseline).
     struct_roots: StructRootsSnapshot,
-    /// Root record staged in the open commit batch, promoted to
-    /// `struct_roots` at finalize (i.e. once its commit record is
-    /// durable); discarded if the batch never finalizes.
+    /// The snapshot the open commit batch's root record produces,
+    /// promoted to `struct_roots` at finalize (i.e. once its commit
+    /// record is durable); discarded if the batch never finalizes.
     pending_roots: Option<(u64, StructRootsSnapshot)>,
-    /// Transaction whose tail record is authoritative: its commit record
+    /// Transactions of the committed tail records, in log order. Each
+    /// record is a delta that recovery must apply, so each commit record
     /// is pinned (one presence ref) until a checkpoint compacts the log.
-    live_root_txn: Option<u64>,
+    live_root_txns: Vec<u64>,
     /// Next free ppn for tail records in the live half, and the
     /// exclusive end of that half.
     root_tail: u32,
@@ -276,7 +278,7 @@ impl Pdl {
             ckpt_live_half: None,
             struct_roots: StructRootsSnapshot::default(),
             pending_roots: None,
-            live_root_txn: None,
+            live_root_txns: Vec::new(),
             root_tail: 0,
             root_tail_end: if opts.checkpoint_blocks >= 2 {
                 (opts.checkpoint_blocks / 2) * g.pages_per_block
@@ -1428,14 +1430,22 @@ impl PageStore for Pdl {
             return Ok(()); // no root region: roots stay memory-resident
         }
         debug_assert!(self.in_txn_batch, "root staging outside a reserve..finalize batch");
-        let record = checkpoint::encode_root_record(roots, txn);
+        // Program only the difference from the committed roots. After a
+        // batch that aborted mid-protocol, its record is on flash and
+        // might still prove committed at recovery, so the next record is
+        // a reset that does not depend on whether it applied.
+        let delta =
+            checkpoint::RootDelta::between(&self.struct_roots, roots, self.pending_roots.is_some());
+        let mut next = self.struct_roots.clone();
+        delta.apply(&mut next)?;
+        let record = delta.encode(txn);
         let g = self.chip.geometry();
         let npages = record.len().div_ceil(g.data_size) as u32;
         if self.root_tail + npages > self.root_tail_end {
             return Err(CoreError::StorageFull);
         }
-        // A pending record from a batch that aborted mid-protocol left a
-        // presence ref behind; replace it before taking our own.
+        // The aborted batch's pending record left a presence ref behind;
+        // replace it before taking our own.
         if let Some((orphan, _)) = self.pending_roots.take() {
             self.presence_dec(orphan, None)?;
         }
@@ -1456,7 +1466,7 @@ impl PageStore for Pdl {
             self.root_tail_used = true;
         }
         self.presence_inc(txn);
-        self.pending_roots = Some((txn, roots.clone()));
+        self.pending_roots = Some((txn, next));
         Ok(())
     }
 
@@ -1486,14 +1496,12 @@ impl PageStore for Pdl {
             mark_obsolete_lenient(&mut self.chip, ppn)?;
             self.counters.deferred_marks += 1;
         }
-        // The batch's root record is committed along with it: promote it
-        // to the authoritative snapshot and drop the pin on the previous
-        // root-publishing transaction's commit record.
+        // The batch's root record is committed along with it: promote its
+        // snapshot to the authoritative one. Its commit record stays
+        // pinned, like every earlier record's, until the next checkpoint.
         if let Some((txn, snap)) = self.pending_roots.take() {
             self.struct_roots = snap;
-            if let Some(old) = self.live_root_txn.replace(txn) {
-                self.presence_dec(old, None)?;
-            }
+            self.live_root_txns.push(txn);
         }
         self.batch_pins.clear();
         self.in_txn_batch = false;

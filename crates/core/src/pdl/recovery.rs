@@ -309,11 +309,14 @@ pub(crate) struct RecoveryTables {
     /// a crash mid-GC-migration: live ppn -> surviving twin. Seed for the
     /// running store's single-page repair registry.
     pub twins: HashMap<u32, u32>,
-    /// Transaction whose structure-root tail record won the root-region
-    /// scan: its commit record takes one extra presence ref in
-    /// [`RecoveryTables::finish`] so the record outlives tag shedding
-    /// until the next checkpoint compacts the root log.
-    pub root_ref: Option<u64>,
+    /// Transactions whose structure-root tail records the root-region
+    /// scan applied: each commit record takes one extra presence ref in
+    /// [`RecoveryTables::finish`] so it outlives tag shedding until the
+    /// next checkpoint compacts the root log.
+    pub root_refs: Vec<u64>,
+    /// The checkpoint the fast path loaded, handed on to the root-log
+    /// resolution so the checkpoint region is read once.
+    pub checkpoint: Option<super::checkpoint::LoadedCheckpoint>,
     verify_checksums: bool,
     frames_per_page: usize,
 }
@@ -345,7 +348,8 @@ impl RecoveryTables {
             corrupt_diffs: Vec::new(),
             poisoned: HashMap::new(),
             twins: HashMap::new(),
-            root_ref: None,
+            root_refs: Vec::new(),
+            checkpoint: None,
             verify_checksums: opts.verify_checksums,
             frames_per_page: k,
         }
@@ -574,12 +578,12 @@ impl RecoveryTables {
                 *presence.entry(*t).or_insert(0) += 1;
             }
         }
-        // The authoritative structure-root tail record pins its
-        // transaction's commit record exactly like a live tag would —
-        // added here, before record resolution, so the retention logic
-        // below covers it and the pending-dead sweep never obsoletes it.
-        if let Some(t) = self.root_ref {
-            *presence.entry(t).or_insert(0) += 1;
+        // Every applied structure-root tail record pins its transaction's
+        // commit record exactly like a live tag would — added here, before
+        // record resolution, so the retention logic below covers them and
+        // the pending-dead sweep never obsoletes one.
+        for t in &self.root_refs {
+            *presence.entry(*t).or_insert(0) += 1;
         }
         // One live record copy per referenced transaction (the lowest
         // surviving physical page, deterministically, so repeated
@@ -698,19 +702,20 @@ impl Pdl {
         mut tables: RecoveryTables,
     ) -> Result<Pdl> {
         let g = chip.geometry();
-        // Resolve the durable structure roots first: the winning tail
-        // record's transaction must be noted before `finish` runs so its
-        // commit record is retained (and never swept) by the normal
-        // presence machinery.
+        // Resolve the durable structure roots first: the applied tail
+        // records' transactions must be noted before `finish` runs so
+        // their commit records are retained (and never swept) by the
+        // normal presence machinery.
         let root_state = if opts.checkpoint_blocks >= 2 {
             chip.set_context(OpContext::Recovery);
-            let rs = super::checkpoint::load_root_state(&mut chip, &opts, &|t| {
+            let checkpoint = tables.checkpoint.take();
+            let rs = super::checkpoint::load_root_state(&mut chip, &opts, checkpoint, &|t| {
                 (tables.commit_locs.contains_key(&t) || tables.commit_cands.contains_key(&t))
                     && !tables.uncommitted.contains(&t)
             });
             chip.set_context(OpContext::User);
             let rs = rs?;
-            tables.root_ref = rs.live_txn;
+            tables.root_refs = rs.live_txns.clone();
             Some(rs)
         } else {
             None
@@ -746,12 +751,11 @@ impl Pdl {
             }
         }
         let committed = tables.commit_locs.keys().copied().collect();
-        let (ckpt_seq, ckpt_live_half, struct_roots, live_root_txn, root_tail, root_tail_end) =
-            match &root_state {
-                Some(rs) => {
-                    (rs.seq, rs.live_half, rs.roots.clone(), rs.live_txn, rs.tail, rs.tail_end)
-                }
-                None => (0, None, Default::default(), None, 0, 0),
+        let root_tail_used = root_state.as_ref().is_some_and(|rs| rs.tail_used);
+        let (ckpt_seq, ckpt_live_half, struct_roots, live_root_txns, root_tail, root_tail_end) =
+            match root_state {
+                Some(rs) => (rs.seq, rs.live_half, rs.roots, rs.live_txns, rs.tail, rs.tail_end),
+                None => (0, None, Default::default(), Vec::new(), 0, 0),
             };
         let pdl = Pdl {
             opts,
@@ -767,10 +771,10 @@ impl Pdl {
             ckpt_live_half,
             struct_roots,
             pending_roots: None,
-            live_root_txn,
+            live_root_txns,
             root_tail,
             root_tail_end,
-            root_tail_used: root_state.as_ref().map(|rs| rs.tail_used).unwrap_or(false),
+            root_tail_used,
             diff_txn: tables.diff_txn,
             base_txn: tables.base_txn,
             presence,

@@ -557,7 +557,16 @@ impl PageStore for ShardedStore {
     }
 
     fn txn_finalize(&mut self) -> Result<()> {
-        self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+        let staged =
+            std::mem::take(self.txn_staged_shards.get_mut().unwrap_or_else(|e| e.into_inner()));
+        // Every involved shard's commit record must be durable before any
+        // shard finalizes: finalizing releases that shard's deferred
+        // obsolete marks (superseded pre-images, retired commit records),
+        // which recovery still needs if the transaction is torn on
+        // another shard.
+        for s in staged {
+            self.shards[s].get_mut().unwrap_or_else(|e| e.into_inner()).txn_flush_stage()?;
+        }
         // txn_reserve opened a batch on every shard; close them all.
         for shard in &mut self.shards {
             shard.get_mut().unwrap_or_else(|e| e.into_inner()).txn_finalize()?;

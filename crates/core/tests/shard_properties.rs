@@ -2,7 +2,8 @@
 //! to a single store of the same method over any update trace, because
 //! striping only partitions the page space — it never changes per-page
 //! behaviour. Plus: a multi-writer smoke test (8 threads, overlapping
-//! pages) and whole-engine crash recovery of every shard.
+//! pages), whole-engine crash recovery of every shard, and a commit torn
+//! across shards rolling back on all of them.
 
 use pdl_core::{build_store, ChangeRange, MethodKind, PageStore, ShardedStore, StoreOptions};
 use pdl_flash::{FlashChip, FlashConfig};
@@ -200,5 +201,59 @@ fn disjoint_writers_round_trip() {
     for pid in 0..PAGES {
         store.read_page_shared(pid, &mut out).unwrap();
         assert_eq!(out, vec![pid as u8 + 1; size], "pid {pid}");
+    }
+}
+
+/// Commit one transaction writing `pages` (every pid `0..pages.len()`)
+/// through the sharded commit batch; `fail_shard_commit` arms that
+/// shard's chip to lose power at the batch's first program after the
+/// commit records are staged — its commit-record flush.
+fn commit_pages(
+    store: &mut ShardedStore,
+    txn: u64,
+    pages: &[Vec<u8>],
+    fail_shard_commit: Option<usize>,
+) -> pdl_core::Result<()> {
+    store.txn_reserve(pages.len() as u64)?;
+    for (pid, page) in pages.iter().enumerate() {
+        store.txn_stage(pid as u64, page, txn)?;
+    }
+    store.txn_flush_stage()?;
+    store.txn_append_commit(txn)?;
+    if let Some(s) = fail_shard_commit {
+        store.with_shard(s, |st| st.chip_mut().arm_fault(0));
+    }
+    store.txn_finalize()
+}
+
+/// A commit torn across shards must leave every shard able to roll back:
+/// shard 1 loses power at its commit-record program after shard 0's
+/// record is durable. No shard may have released its pre-images (the
+/// superseded base pages and the old transaction's commit record), so
+/// recovery hands back the pre-commit bytes on both shards.
+#[test]
+fn torn_cross_shard_commit_keeps_every_pre_image() {
+    let kind = MethodKind::Pdl { max_diff_size: 64 };
+    let opts = StoreOptions::new(PAGES);
+    let mut store = ShardedStore::with_uniform_chips(FlashConfig::tiny(), 2, kind, opts).unwrap();
+    let size = store.logical_page_size();
+    // Pages 0 and 1 live on shards 0 and 1. Whole-page rewrites exceed
+    // the differential limit, so the second commit writes new bases and
+    // defers obsoleting the first commit's.
+    let old = vec![vec![0x11u8; size], vec![0x33u8; size]];
+    let new = vec![vec![0x22u8; size], vec![0x44u8; size]];
+    commit_pages(&mut store, 1, &old, None).unwrap();
+    let err = commit_pages(&mut store, 2, &new, Some(1)).unwrap_err();
+    assert!(pdl_core::is_power_loss(&err), "expected a power loss, got {err}");
+
+    let mut chips = Box::new(store).into_chips();
+    for c in &mut chips {
+        c.disarm_fault();
+    }
+    let mut back = ShardedStore::recover(chips, kind, opts).unwrap();
+    let mut out = vec![0u8; size];
+    for (pid, want) in old.iter().enumerate() {
+        back.read_page(pid as u64, &mut out).unwrap();
+        assert_eq!(&out, want, "pid {pid}: the torn commit's pre-image was lost");
     }
 }

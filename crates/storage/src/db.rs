@@ -26,11 +26,12 @@
 //! # Durable structure roots
 //!
 //! On a store with a PDL checkpoint region, every durable commit that
-//! changed a registered structure stages the full `StructId → StructRoot`
-//! snapshot into the checkpoint region's root log
-//! ([`pdl_core::PageStore::txn_stage_struct_roots`]), inside the same
-//! commit batch as the data — the record is authoritative exactly when
-//! the transaction's commit record is durable. After a crash,
+//! changed a registered structure hands the full `StructId → StructRoot`
+//! snapshot to the store ([`pdl_core::PageStore::txn_stage_struct_roots`]),
+//! which programs only its difference from the last committed snapshot
+//! into the checkpoint region's root log, inside the same commit batch as
+//! the data — the record is authoritative exactly when the transaction's
+//! commit record is durable. After a crash,
 //! [`Database::recover_structures`] rebuilds the registered handles from
 //! the store alone; `attach` from externally remembered pids remains as
 //! a compatibility path.
